@@ -6,6 +6,17 @@ import (
 	"halo/internal/hashfn"
 )
 
+// probeChunk is how many keys LookupMany carries through its stages at a
+// time. The lines a chunk warms — key bytes and bucket, about three per key
+// — must still be in L1/L2 when the probe stage reads them, and the chunk
+// must be wide enough for its independent misses to fill the core's
+// outstanding-miss slots. DESIGN.md §8 records the measurement that picked
+// it.
+const probeChunk = 64
+
+// noShard marks a wrong-length key in Batch.shard: it belongs to no shard.
+const noShard = ^uint32(0)
+
 // Batch is reusable scratch for LookupMany. Like HALO's non-blocking lookup
 // window, a batch belongs to one issuing context: a Batch is NOT safe for
 // concurrent use, but any number of goroutines may run their own batches
@@ -13,110 +24,144 @@ import (
 type Batch struct {
 	t *Table
 
-	kw    [][maxKeyWords]uint64
-	h     []uint64
-	sig   []uint16
-	shard []uint32
+	kw    [probeChunk][maxKeyWords]uint64
+	h     [probeChunk]uint64
+	sig   [probeChunk]uint16
+	shard [probeChunk]uint32
 
-	count []uint32 // per-shard key count, then prefix-summed into offsets
-	order []uint32 // key indices grouped by shard
+	order  [probeChunk]uint32 // chunk key indices grouped by shard
+	groups [probeChunk]uint32 // shards present in the chunk, first-seen order
+	count  []uint32           // per shard: key count, then group offset
+
+	// sink receives the advisory stages' loads so the compiler keeps them.
+	sink uint64
 }
 
 // NewBatch returns an empty batch for the table.
 func (t *Table) NewBatch() *Batch {
-	return &Batch{t: t, count: make([]uint32, len(t.shards)+1)}
-}
-
-// grow sizes the scratch for n keys.
-func (b *Batch) grow(n int) {
-	if cap(b.kw) < n {
-		b.kw = make([][maxKeyWords]uint64, n)
-		b.h = make([]uint64, n)
-		b.sig = make([]uint16, n)
-		b.shard = make([]uint32, n)
-		b.order = make([]uint32, n)
-	}
-	b.kw = b.kw[:n]
-	b.h = b.h[:n]
-	b.sig = b.sig[:n]
-	b.shard = b.shard[:n]
-	b.order = b.order[:n]
+	return &Batch{t: t, count: make([]uint32, len(t.shards))}
 }
 
 // LookupMany looks up all keys, writing results[i] for each, and returns
-// the number of hits. It is the software analogue of issuing LOOKUP_NB per
-// key and polling completions with SNAPSHOT_READ: an issue pass hashes and
-// routes every key, then each shard's group of keys is probed under a
-// single seqlock window, amortising the read protocol (and its cache-line
-// traffic) over the group.
+// the number of hits. It is the software analogue of issuing LOOKUP_NB for
+// the whole batch and polling completions with SNAPSHOT_READ: like HALO's
+// slice accelerators walking buckets in parallel, it overlaps the keys'
+// cache misses instead of paying each key's dependent misses (key bytes,
+// then bucket, then key-value slot) one key at a time. Keys run through
+// three stages, a chunk of probeChunk keys at a time:
 //
-// The issue pass records only the primary hash per key; candidate buckets
-// are derived per region inside the probe, because an in-flight resize
-// gives a shard two bucket geometries at once. Keys of the wrong length are
-// misses counted in the table-level badlen counter, as in Lookup. results
-// must be at least len(keys) long.
+//	(a) touch every key's bytes;
+//	(b) hash, route and sign every key, then touch its primary bucket in
+//	    the shard's current region (and in the old one mid-resize);
+//	(c) group the keys by shard and probe each group under one seqlock
+//	    window, amortising the read protocol over the group. With the key
+//	    and bucket lines warm, the probes' key-value slot misses overlap
+//	    across keys.
+//
+// Stages (a) and (b) are advisory: plain loads of the caller's key bytes
+// and atomic loads of bucket words into a sink. They decide no result, bump
+// no counter and take no lock. Every result comes from (c), which runs the
+// same seqlock probe as Lookup (DESIGN.md §8), so the loads only warm the
+// lines (c) is about to read.
+//
+// Keys of the wrong length are misses counted in the table-level badlen
+// counter, as in Lookup. results must be at least len(keys) long.
 func (b *Batch) LookupMany(keys [][]byte, results []Result) int {
-	t := b.t
-	n := len(keys)
-	_ = results[:n]
-	b.grow(n)
+	_ = results[:len(keys)]
+	hits := 0
+	for len(keys) > 0 {
+		n := min(len(keys), probeChunk)
+		hits += b.lookupChunk(keys[:n], results[:n])
+		keys, results = keys[n:], results[n:]
+	}
+	return hits
+}
 
-	// Issue pass: hash, signature and shard per key.
+// lookupChunk runs the three stages over at most probeChunk keys.
+func (b *Batch) lookupChunk(keys [][]byte, results []Result) int {
+	t := b.t
+	nshards := uint64(len(t.shards))
+	sink := b.sink
+
+	// (a) Key bytes: the first and last byte, so a key straddling a cache
+	// line brings in both lines.
+	for _, key := range keys {
+		if len(key) == t.keyLen {
+			sink += uint64(key[0]) + uint64(key[len(key)-1])
+		}
+	}
+
+	// (b) Hash, signature and shard per key, then touch the primary
+	// buckets. The touches get a loop of their own: interleaved with the
+	// hashing, each iteration is long enough that the reorder window holds
+	// only a couple of outstanding bucket misses.
 	badLen := uint64(0)
 	for i, key := range keys {
 		if len(key) != t.keyLen {
-			b.shard[i] = uint32(len(t.shards)) // route to the overflow group
+			b.shard[i] = noShard
+			results[i] = Result{}
 			badLen++
 			continue
 		}
 		keyToWords(key, &b.kw[i])
 		h := hashfn.Hash(hashfn.SeedPrimary, key)
-		b.h[i] = h
-		b.sig[i] = hashfn.Signature(h)
-		b.shard[i] = uint32(hashfn.ShardIndex(h, uint64(len(t.shards))))
-	}
-
-	// Group keys by shard with a counting sort (stable, allocation-free).
-	for i := range b.count {
-		b.count[i] = 0
-	}
-	for _, si := range b.shard {
-		if si < uint32(len(t.shards)) {
-			b.count[si]++
-		}
-	}
-	var off uint32
-	for i := range b.count {
-		c := b.count[i]
-		b.count[i] = off
-		off += c
-	}
-	order := b.order[:off]
-	for i, si := range b.shard {
-		if si < uint32(len(t.shards)) {
-			order[b.count[si]] = uint32(i)
-			b.count[si]++
-		}
-	}
-	// b.count[si] is now the end offset of shard si's group.
-
-	hits := 0
-	start := uint32(0)
-	for si := 0; si < len(t.shards); si++ {
-		end := b.count[si]
-		if end == start {
-			continue
-		}
-		hits += b.lookupGroup(t.shards[si], order[start:end], results)
-		start = end
+		b.h[i], b.sig[i] = h, hashfn.Signature(h)
+		b.shard[i] = uint32(hashfn.ShardIndex(h, nshards))
 	}
 	if badLen > 0 {
 		t.badLen.Add(badLen)
-		for i, key := range keys {
-			if len(key) != t.keyLen {
-				results[i] = Result{}
-			}
+	}
+	for i := range keys {
+		si := b.shard[i]
+		if si == noShard {
+			continue
 		}
+		h := b.h[i]
+		rp := t.shards[si].regions.Load()
+		sink += rp.cur.primary(h).Load()
+		if rp.old != nil {
+			sink += rp.old.primary(h).Load()
+		}
+	}
+	b.sink = sink
+
+	// (c) Group by shard — a counting sort over the shards present, in
+	// first-seen order, so its cost is per key rather than per shard —
+	// then probe each group under its seqlock window.
+	const seen = 1 << 31
+	for _, si := range b.shard[:len(keys)] {
+		if si != noShard {
+			b.count[si] = 0
+		}
+	}
+	for _, si := range b.shard[:len(keys)] {
+		if si != noShard {
+			b.count[si]++
+		}
+	}
+	groups := b.groups[:0]
+	off := uint32(0)
+	for _, si := range b.shard[:len(keys)] {
+		if si != noShard && b.count[si]&seen == 0 {
+			c := b.count[si]
+			b.count[si] = off | seen
+			off += c
+			groups = append(groups, si)
+		}
+	}
+	for i, si := range b.shard[:len(keys)] {
+		if si != noShard {
+			b.order[b.count[si]&^seen] = uint32(i)
+			b.count[si]++
+		}
+	}
+	// b.count[si]&^seen is now the end offset of shard si's group.
+	hits := 0
+	start := uint32(0)
+	for _, si := range groups {
+		end := b.count[si] &^ seen
+		hits += b.lookupGroup(t.shards[si], b.order[start:end], results)
+		start = end
 	}
 	return hits
 }

@@ -20,9 +20,10 @@
 //   - Mutations (insert, delete, displacement) take a per-shard mutex, so
 //     each shard is single-writer — DPDK's rte_hash makes the same
 //     single-writer/multi-reader assumption.
-//   - Batch lookups group keys per shard and validate one sequence window
-//     per group (see batch.go), the software analogue of issuing LOOKUP_NB
-//     for a batch and polling the results with SNAPSHOT_READ.
+//   - Batch lookups first run advisory passes that overlap the batch's
+//     cache misses, then group keys per shard and validate one sequence
+//     window per group (see batch.go), the software analogue of issuing
+//     LOOKUP_NB for a batch and polling the results with SNAPSHOT_READ.
 //   - Shards grow under live traffic: a resize installs a second, larger
 //     region and migrates buckets incrementally — a bounded number per
 //     writer operation or explicit ResizeStep tick — while readers probe
@@ -335,6 +336,12 @@ func newRegion(entries uint64, keyWords int) *region {
 // geometry.
 func (r *region) buckets(h uint64) (b1, b2 uint64) {
 	return hashfn.BucketPair(h, r.bucketCount)
+}
+
+// primary returns the first entry of the key's primary bucket, the one
+// buckets returns first.
+func (r *region) primary(h uint64) *atomic.Uint64 {
+	return &r.entries[hashfn.PrimaryBucket(h, r.bucketCount)*EntriesPerBucket]
 }
 
 // regionPair is the reader-visible storage set, swapped atomically. old is

@@ -141,52 +141,163 @@ func TestFillForcesDisplacement(t *testing.T) {
 	}
 }
 
+// TestLookupManyMatchesLookup pins the staged batch probe to the single-key
+// path: every result and the hit count must equal per-key Lookup, for batch
+// sizes around the chunk boundary, with wrong-length, duplicate and absent
+// keys, on a steady table and mid-resize. The counter deltas must match the
+// keys issued — the advisory stages may count nothing.
 func TestLookupManyMatchesLookup(t *testing.T) {
-	tbl := mustNew(t, Config{Shards: 8, Entries: 8192, KeyLen: 20})
 	const n = 4000
+	sizes := []int{0, 1, probeChunk - 1, probeChunk, probeChunk + 1, 3*probeChunk + 5}
+
+	steady := mustNew(t, Config{Shards: 8, Entries: 8192, KeyLen: 20})
 	for i := uint64(0); i < n; i++ {
-		if err := tbl.Insert(key20(i), i^0xabcd); err != nil {
+		if err := steady.Insert(key20(i), i^0xabcd); err != nil {
 			t.Fatal(err)
 		}
 	}
+	t.Run("steady", func(t *testing.T) { checkBatchesAgainstLookup(t, steady, n, sizes) })
+
+	// Mid-migration: a partial ResizeStep leaves some keys in the old
+	// region and some in the new one.
+	moving := mustNew(t, Config{Shards: 4, Entries: 4400, KeyLen: 20})
+	for i := uint64(0); i < n; i++ {
+		if err := moving.Insert(key20(i), i^0xabcd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := moving.Grow(2 * moving.Capacity()); err != nil {
+		t.Fatal(err)
+	}
+	moving.ResizeStep(40)
+	if s := moving.Stats(); !moving.Resizing() || s.MigratedKeys == 0 || s.MigratedKeys >= n {
+		t.Fatalf("resize not mid-flight: resizing=%v migrated %d of %d keys", moving.Resizing(), s.MigratedKeys, n)
+	}
+	t.Run("resizing", func(t *testing.T) { checkBatchesAgainstLookup(t, moving, n, sizes) })
+}
+
+// checkBatchesAgainstLookup issues batches of each size through a Batch,
+// the pooled Table.LookupMany and a PinnedReader, and compares results,
+// hits and counter deltas with per-key Lookup. Keys 0..resident-1 are
+// present with value i^0xabcd. Every size past 1 must mix hits with
+// valid-length misses; a final sweep then looks up every resident key and
+// 200 absent ones in batches of 93, a size that is not a chunk multiple.
+func checkBatchesAgainstLookup(t *testing.T, tbl *Table, resident uint64, sizes []int) {
 	b := tbl.NewBatch()
 	pr := tbl.NewPinnedReader()
-	const batchSize = 93 // deliberately not a power of two
-	keys := make([][]byte, batchSize)
-	results := make([]Result, batchSize)
-	pooled := make([]Result, batchSize)
-	pinned := make([]Result, batchSize)
-	for lo := uint64(0); lo < n+200; lo += batchSize {
+	next := uint64(0)
+	for _, size := range sizes {
+		keys := make([][]byte, size)
 		for j := range keys {
-			keys[j] = key20(lo + uint64(j)*2) // half present, half absent beyond n
+			switch {
+			case j%7 == 3:
+				keys[j] = make([]byte, j%22) // wrong length, including empty
+			case j%5 == 1:
+				keys[j] = keys[j/2] // duplicate (possibly of a wrong-length key)
+			case next%2 == 1:
+				keys[j] = key20(resident + next) // absent
+				next++
+			default:
+				keys[j] = key20(next * 2 % resident) // present
+				next++
+			}
 		}
-		hits := b.LookupMany(keys, results)
-		poolHits := tbl.LookupMany(keys, pooled)
-		pinHits := pr.LookupMany(keys, pinned)
-		if pinHits != poolHits {
-			t.Fatalf("PinnedReader returned %d hits, Table returned %d", pinHits, poolHits)
+		hits, misses := checkBatch(t, tbl, b, pr, keys)
+		if size > 1 && (hits == 0 || misses == 0) {
+			t.Fatalf("size %d: %d hits and %d valid-length misses, want both", size, hits, misses)
+		}
+	}
+	const sweep = 93
+	keys := make([][]byte, sweep)
+	for lo := uint64(0); lo < resident+200; lo += sweep {
+		for j := range keys {
+			keys[j] = key20(lo + uint64(j)) // present below resident, absent beyond
+		}
+		checkBatch(t, tbl, b, pr, keys)
+	}
+}
+
+// checkBatch runs one batch through all three batch paths, fails the test
+// on any disagreement with Lookup or the counters, and returns the hits
+// and the valid-length misses.
+func checkBatch(t *testing.T, tbl *Table, b *Batch, pr *PinnedReader, keys [][]byte) (hits, misses int) {
+	t.Helper()
+	size, valid := len(keys), 0
+	for _, key := range keys {
+		if len(key) == 20 {
+			valid++
+		}
+	}
+	for _, run := range []struct {
+		name string
+		fn   func([][]byte, []Result) int
+	}{{"Batch", b.LookupMany}, {"Table", tbl.LookupMany}, {"PinnedReader", pr.LookupMany}} {
+		results := make([]Result, size)
+		for j := range results {
+			results[j] = Result{Value: 99, OK: true} // must be overwritten
+		}
+		before := tbl.Stats()
+		got := run.fn(keys, results)
+		after := tbl.Stats()
+		if d := after.Lookups - before.Lookups; d != uint64(valid) {
+			t.Fatalf("%s size %d: Δlookups = %d, want %d valid keys", run.name, size, d, valid)
+		}
+		if d := after.Hits - before.Hits; d != uint64(got) {
+			t.Fatalf("%s size %d: Δhits = %d, returned %d", run.name, size, d, got)
+		}
+		if d := after.BadLenLookups - before.BadLenLookups; d != uint64(size-valid) {
+			t.Fatalf("%s size %d: Δbadlen = %d, want %d", run.name, size, d, size-valid)
 		}
 		wantHits := 0
-		for j := range keys {
-			wv, wok := tbl.Lookup(keys[j])
-			if results[j].OK != wok || results[j].Value != wv {
-				t.Fatalf("LookupMany[%d] = (%d,%v), Lookup says (%d,%v)", j, results[j].Value, results[j].OK, wv, wok)
-			}
-			if pooled[j] != results[j] {
-				t.Fatalf("Table.LookupMany[%d] = %+v, Batch says %+v", j, pooled[j], results[j])
-			}
-			if pinned[j] != results[j] {
-				t.Fatalf("PinnedReader.LookupMany[%d] = %+v, Batch says %+v", j, pinned[j], results[j])
+		for j, key := range keys {
+			wv, wok := tbl.Lookup(key)
+			if results[j] != (Result{Value: wv, OK: wok}) {
+				t.Fatalf("%s size %d: results[%d] = %+v, Lookup says (%d,%v)", run.name, size, j, results[j], wv, wok)
 			}
 			if wok {
+				if wv != binary.LittleEndian.Uint64(key)^0xabcd {
+					t.Fatalf("%s size %d: key %d has value %d", run.name, size, j, wv)
+				}
 				wantHits++
 			}
 		}
-		if hits != wantHits {
-			t.Fatalf("LookupMany returned %d hits, want %d", hits, wantHits)
+		if got != wantHits {
+			t.Fatalf("%s size %d: %d hits, want %d", run.name, size, got, wantHits)
 		}
-		if poolHits != hits {
-			t.Fatalf("Table.LookupMany returned %d hits, Batch returned %d", poolHits, hits)
+		hits, misses = got, valid-got
+	}
+	return hits, misses
+}
+
+// TestLookupManySteadyStateAllocs is the batch path's zero-allocation gate:
+// after warm-up neither a pinned Batch nor the pooled Table.LookupMany may
+// allocate, for a single-chunk batch or one spanning several chunks.
+func TestLookupManySteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on synchronization operations")
+	}
+	tbl := mustNew(t, Config{Shards: 4, Entries: 8192, KeyLen: 20})
+	keys := make([][]byte, 3*probeChunk+5)
+	for i := range keys {
+		keys[i] = key20(uint64(i))
+		if err := tbl.Insert(keys[i], uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results := make([]Result, len(keys))
+	b := tbl.NewBatch()
+	for _, size := range []int{16, len(keys)} {
+		batch, res := keys[:size], results[:size]
+		for name, fn := range map[string]func([][]byte, []Result) int{"Batch": b.LookupMany, "Table": tbl.LookupMany} {
+			fn(batch, res) // warm-up: pool and scratch
+			allocs := testing.AllocsPerRun(500, func() {
+				if fn(batch, res) != size {
+					t.Fatal("miss on a resident key")
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s.LookupMany(%d keys) allocates %.1f times per call, want 0", name, size, allocs)
+			}
 		}
 	}
 }

@@ -358,6 +358,10 @@ type srvConn struct {
 	nkeys    []int
 	results  []flowserve.Result
 	statuses []Status
+
+	// probing is odd while serveLookups holds a loaded shard map and
+	// probes under it; a cutover waits for it before purging (waitProbes).
+	probing atomic.Uint64
 }
 
 func newSrvConn(s *Server, nc net.Conn) *srvConn {
@@ -508,7 +512,10 @@ func (c *srvConn) process() {
 func (c *srvConn) serveLookups() {
 	keyLen := c.srv.cfg.Table.KeyLen()
 	// One map load covers the whole coalesced group: the ownership check and
-	// the WRONG_SHARD epoch must come from the same map version.
+	// the WRONG_SHARD epoch must come from the same map version. The group
+	// is marked as probing before the load, so a cutover that installs a
+	// new map after it waits for the probe before purging (waitProbes).
+	c.probing.Add(1)
 	m := c.srv.clusterMap()
 	var selfID uint32
 	if m != nil {
@@ -560,6 +567,7 @@ func (c *srvConn) serveLookups() {
 	if total > 0 {
 		c.batch.LookupMany(c.keys, c.results)
 	}
+	c.probing.Add(1)
 	c.srv.c.coalesceCalls.Add(1)
 	c.srv.c.coalesceFrames.Add(uint64(len(c.group)))
 	c.srv.c.coalesceKeys.Add(uint64(total))

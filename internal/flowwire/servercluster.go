@@ -3,6 +3,7 @@ package flowwire
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -448,8 +449,35 @@ func (s *Server) handleMapUpdate(payload []byte) Status {
 	cl.c.migsDone.Add(1)
 	cl.mu.Unlock()
 	mig.cl.Close()
+	// Lookup groups that passed the ownership check under the old map may
+	// still be probing; purging under them would answer "missing" for keys
+	// that now live on the gaining node.
+	s.waitProbes()
 	cl.c.purgedKeys.Add(s.cfg.Table.PurgeRange(mig.rg.Lo, mig.rg.Hi))
 	return StatusOK
+}
+
+// waitProbes returns once every lookup group that was probing when it was
+// called has finished. A group that starts later loads the map after the
+// caller's install, so it never probes under the old one.
+func (s *Server) waitProbes() {
+	type probe struct {
+		c   *srvConn
+		seq uint64
+	}
+	var busy []probe
+	s.mu.Lock()
+	for c := range s.conns {
+		if seq := c.probing.Load(); seq&1 != 0 {
+			busy = append(busy, probe{c, seq})
+		}
+	}
+	s.mu.Unlock()
+	for _, p := range busy {
+		for p.c.probing.Load() == p.seq {
+			runtime.Gosched()
+		}
+	}
 }
 
 // applyMigRecords applies one MIG_APPLY batch on the gaining node. Records

@@ -333,12 +333,14 @@ func TestShmLoopbackSteadyStateAllocs(t *testing.T) {
 // post-handshake syscall the transport can make flows through the counted
 // sites (doorbell writes, doorbell wakes, parks — see shmConnCounters), so
 // a near-zero counter delta across a loaded window proves the frame path
-// runs on memory alone. Sockets pay ≥4 syscalls per batch; the gate allows
-// at most one counted event per five batches — two orders of magnitude
-// under socket cost, with headroom for a GC pause parking a waiter.
+// runs on memory alone. The gate reads only its own connection's two
+// ends' ledgers, so other connections' events cannot leak in. Sockets pay
+// ≥4 syscalls per batch; the gate allows at most one counted event per
+// five batches — two orders of magnitude under socket cost, with headroom
+// for a GC pause parking a waiter.
 func TestShmSteadyStateSyscallFree(t *testing.T) {
 	const batch = 64
-	_, tbl, addr := startServerOn(t, TransportShm, flowserve.Config{Shards: 4, Entries: 8192, KeyLen: 20}, Config{})
+	srv, tbl, addr := startServerOn(t, TransportShm, flowserve.Config{Shards: 4, Entries: 8192, KeyLen: 20}, Config{})
 	keys := make([][]byte, batch)
 	for i := range keys {
 		keys[i] = wkey(uint64(i))
@@ -353,18 +355,46 @@ func TestShmSteadyStateSyscallFree(t *testing.T) {
 			t.Fatalf("warmup hits = %d", hits)
 		}
 	}
+	ends := shmEnds(t, cl, srv)
 
 	const ops = 2000
-	d0, w0, p0 := ShmCounters()
+	d0, w0, p0 := sumShmCounters(ends)
 	for i := 0; i < ops; i++ {
 		if hits := cl.LookupMany(keys, results); hits != batch {
 			t.Fatalf("hits = %d", hits)
 		}
 	}
-	d1, w1, p1 := ShmCounters()
+	d1, w1, p1 := sumShmCounters(ends)
 	events := (d1 - d0) + (w1 - w0) + (p1 - p0)
 	t.Logf("%d batches: %d doorbells, %d wakes, %d parks", ops, d1-d0, w1-w0, p1-p0)
 	if events > ops/5 {
 		t.Fatalf("%d kernel-touching events across %d batches — steady state is not syscall-free", events, ops)
 	}
+}
+
+// shmEnds returns both ends of a one-connection shm client's connection:
+// the client's conn and the server's accepted conn.
+func shmEnds(t *testing.T, cl *Client, srv *Server) []*shmConn {
+	t.Helper()
+	if len(cl.conns) != 1 {
+		t.Fatalf("client has %d conns, want 1", len(cl.conns))
+	}
+	ends := []*shmConn{cl.conns[0].nc.(*shmConn)}
+	srv.mu.Lock()
+	for sc := range srv.conns {
+		ends = append(ends, sc.nc.(*shmConn))
+	}
+	srv.mu.Unlock()
+	if len(ends) != 2 {
+		t.Fatalf("server has %d conns, want 1", len(ends)-1)
+	}
+	return ends
+}
+
+func sumShmCounters(ends []*shmConn) (doorbells, wakes, parks uint64) {
+	for _, c := range ends {
+		d, w, p := c.ctr.load()
+		doorbells, wakes, parks = doorbells+d, wakes+w, parks+p
+	}
+	return
 }

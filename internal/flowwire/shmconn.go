@@ -16,9 +16,12 @@ import (
 // which is why the handshake exchanges PIDs:
 //
 //   - Same process (tests, benchmarks, the hypothesis harness): Gosched
-//     hands the core straight to the peer goroutine, so a few yields
-//     almost always cover the gap and steady state never parks — zero
-//     syscalls per frame. Full budget.
+//     hands the core straight to the peer goroutine while the process has
+//     its cores, so a few yields cover the gap. When other work takes the
+//     cores, the kernel can deschedule the peer goroutine's thread for a
+//     scheduler slice (1–3 ms), and no yield count bridges that: the
+//     budget is a wall-time window spanning a few slices, so steady state
+//     still never parks — zero syscalls per frame.
 //   - Cross-process, multiple cores: the peer may be mid-frame on another
 //     core; a short spin bridges those sub-microsecond gaps without
 //     burning a core the peer needs.
@@ -26,8 +29,8 @@ import (
 //     run until this side sleeps, so every yield just delays the
 //     handover. Park immediately and let the doorbell do its job.
 const (
-	shmSpinYields      = 256 // same-process budget
-	shmSpinYieldsCross = 32  // cross-process budget when cores are plural
+	shmSpinWindow      = 5 * time.Millisecond // same-process budget
+	shmSpinYieldsCross = 32                   // cross-process budget when cores are plural
 
 	// shmParkBackstop bounds every park even without a deadline: the
 	// wake protocol has no lost-wakeup window (see parked/recheck below),
@@ -37,39 +40,34 @@ const (
 	shmParkBackstop = 10 * time.Millisecond
 )
 
-// spinBudgetFor picks the yield budget for a conn whose peer runs in
-// process peerPid.
-func spinBudgetFor(peerPid int) int {
+// spinBudgetFor picks the spin budget for a conn whose peer runs in
+// process peerPid: a wall-time window for a same-process peer, else a
+// yield count (zero on one core).
+func spinBudgetFor(peerPid int) (yields int, window time.Duration) {
 	if peerPid == os.Getpid() {
-		return shmSpinYields
+		return 0, shmSpinWindow
 	}
 	if runtime.NumCPU() > 1 {
-		return shmSpinYieldsCross
+		return shmSpinYieldsCross, 0
 	}
-	return 0
+	return 0, 0
 }
 
-// shmConnCounters is the process-wide syscall ledger for the shm
-// transport. Every syscall a connection can make after the handshake goes
-// through exactly two sites — ringDoorbell (a one-byte socket write) and
-// the notifyLoop's blocking socket read (one return per wake) — plus the
-// in-process channel parks, so counting these counts the transport's
-// entire steady-state kernel traffic. The syscall-free acceptance test
-// asserts the per-lookup delta is ~0 under load.
+// shmConnCounters is the syscall ledger of the shm transport. Every
+// syscall a connection can make after the handshake goes through exactly
+// two sites — ringDoorbell (a one-byte socket write) and the notifyLoop's
+// blocking socket read (one return per wake) — plus the in-process channel
+// parks, so counting these counts the transport's entire steady-state
+// kernel traffic. Each conn keeps its own ledger, so a test can assert
+// that its connection stays syscall-free whatever else the process runs.
 type shmConnCounters struct {
 	doorbells atomic.Uint64 // doorbell bytes written (one write syscall each)
 	wakes     atomic.Uint64 // doorbell socket reads that returned (one read syscall each)
 	parks     atomic.Uint64 // waiter sleeps after the spin budget ran dry
 }
 
-var shmCounters shmConnCounters
-
-// ShmCounters snapshots the process-wide shm transport event counters:
-// doorbell writes, doorbell wakes and waiter parks since process start.
-// Tests use the delta across a steady-state window to prove the frame
-// path makes no syscalls.
-func ShmCounters() (doorbells, wakes, parks uint64) {
-	return shmCounters.doorbells.Load(), shmCounters.wakes.Load(), shmCounters.parks.Load()
+func (k *shmConnCounters) load() (doorbells, wakes, parks uint64) {
+	return k.doorbells.Load(), k.wakes.Load(), k.parks.Load()
 }
 
 // shmAddr is the net.Addr of both ends of a shm connection: the handshake
@@ -132,7 +130,8 @@ type shmConn struct {
 	door *net.UnixConn
 	addr shmAddr
 
-	spinBudget int
+	spinYields int           // yields before parking (cross-process peer)
+	spinWindow time.Duration // wall time before parking (same-process peer)
 
 	rxWait waiter
 	txWait waiter
@@ -144,6 +143,8 @@ type shmConn struct {
 	closeCh   chan struct{}
 	closed    atomic.Bool
 	peerGone  atomic.Bool // notifyLoop saw EOF/error on the doorbell socket
+
+	ctr shmConnCounters // this conn's syscall ledger
 }
 
 // newShmConn wires a conn over a bound segment. server picks which ring is
@@ -153,14 +154,14 @@ type shmConn struct {
 // never touch unmapped pages.
 func newShmConn(seg *shmSegment, door *net.UnixConn, addr string, server bool, peerPid int) *shmConn {
 	c := &shmConn{
-		seg:        seg,
-		door:       door,
-		addr:       shmAddr(addr),
-		spinBudget: spinBudgetFor(peerPid),
-		rxWait:     newWaiter(),
-		txWait:     newWaiter(),
-		closeCh:    make(chan struct{}),
+		seg:     seg,
+		door:    door,
+		addr:    shmAddr(addr),
+		rxWait:  newWaiter(),
+		txWait:  newWaiter(),
+		closeCh: make(chan struct{}),
 	}
+	c.spinYields, c.spinWindow = spinBudgetFor(peerPid)
 	if server {
 		c.rx, c.tx = &seg.req, &seg.rep
 	} else {
@@ -185,7 +186,7 @@ func (c *shmConn) notifyLoop() {
 			c.txWait.signal()
 			return
 		}
-		shmCounters.wakes.Add(1)
+		c.ctr.wakes.Add(1)
 		c.rxWait.signal()
 		c.txWait.signal()
 	}
@@ -198,7 +199,7 @@ var doorbellByte = [1]byte{1}
 // continuously, so a blocked or failed write means the peer is gone — a
 // condition the local notifyLoop reports independently.
 func (c *shmConn) ringDoorbell() {
-	shmCounters.doorbells.Add(1)
+	c.ctr.doorbells.Add(1)
 	c.door.Write(doorbellByte[:])
 }
 
@@ -213,6 +214,7 @@ func (c *shmConn) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
+	spun := false
 	for {
 		if n := c.rx.read(p); n > 0 {
 			// Space was freed: wake the peer's producer if it parked on a
@@ -237,8 +239,11 @@ func (c *shmConn) Read(p []byte) (int, error) {
 		if deadlineExpired(c.readDeadline.Load()) {
 			return 0, os.ErrDeadlineExceeded
 		}
-		if c.spin(c.rx.readable) {
-			continue
+		if !spun {
+			spun = true
+			if c.spin(c.rx.readable) {
+				continue
+			}
 		}
 		if err := c.park(&c.rxWait, c.rx.cons, c.rx.readable, &c.readDeadline); err != nil {
 			return 0, err
@@ -251,6 +256,7 @@ func (c *shmConn) Read(p []byte) (int, error) {
 // with the error, matching net.Conn semantics.
 func (c *shmConn) Write(p []byte) (int, error) {
 	total := 0
+	spun := false
 	for len(p) > 0 {
 		if c.closed.Load() {
 			return total, net.ErrClosed
@@ -265,13 +271,17 @@ func (c *shmConn) Write(p []byte) (int, error) {
 			}
 			total += n
 			p = p[n:]
+			spun = false
 			continue
 		}
 		if deadlineExpired(c.writeDeadline.Load()) {
 			return total, os.ErrDeadlineExceeded
 		}
-		if c.spin(c.tx.writable) {
-			continue
+		if !spun {
+			spun = true
+			if c.spin(c.tx.writable) {
+				continue
+			}
 		}
 		if err := c.park(&c.txWait, c.tx.prod, c.tx.writable, &c.writeDeadline); err != nil {
 			return total, err
@@ -282,12 +292,24 @@ func (c *shmConn) Write(p []byte) (int, error) {
 
 // spin yields through the scheduler up to the conn's spin budget, returning
 // true as soon as ready() reports progress is possible (or the conn state
-// changed, which the caller's loop re-examines).
+// changed, which the caller's loop re-examines). A window budget reads the
+// clock (vDSO, no syscall) once per 64 yields. Read and Write spend the
+// budget once per wait, before the first park: a waiter woken by the park
+// backstop parks again, so an idle conn burns one window, not one per
+// backstop period.
 func (c *shmConn) spin(ready func() int) bool {
-	for i := 0; i < c.spinBudget; i++ {
+	var until time.Time
+	for i := 0; i < c.spinYields || c.spinWindow > 0; i++ {
 		runtime.Gosched()
 		if ready() > 0 || c.closed.Load() || c.peerGone.Load() {
 			return true
+		}
+		if c.spinWindow > 0 && i%64 == 0 {
+			if now := time.Now(); i == 0 {
+				until = now.Add(c.spinWindow)
+			} else if now.After(until) {
+				return false
+			}
 		}
 	}
 	return false
@@ -298,7 +320,7 @@ func (c *shmConn) spin(ready func() int) bool {
 // one side always observes the other — no lost wakeups), then sleeps until
 // a doorbell, the deadline, the backstop or close. Callers loop.
 func (c *shmConn) park(w *waiter, flag *atomic.Uint32, ready func() int, deadline *atomic.Int64) error {
-	shmCounters.parks.Add(1)
+	c.ctr.parks.Add(1)
 	flag.Store(1)
 	if ready() > 0 || c.closed.Load() || c.peerGone.Load() {
 		flag.Store(0)

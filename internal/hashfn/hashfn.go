@@ -89,10 +89,14 @@ func Signature(primaryHash uint64) uint16 {
 // DPDK's rte_hash does, so the alternative bucket is computable from bucket
 // contents alone during cuckoo displacement.
 func BucketPair(primaryHash uint64, bucketCount uint64) (b1, b2 uint64) {
-	mask := bucketCount - 1
-	b1 = primaryHash & mask
+	b1 = PrimaryBucket(primaryHash, bucketCount)
 	alt := AltBucket(b1, Signature(primaryHash), bucketCount)
 	return b1, alt
+}
+
+// PrimaryBucket returns the first of BucketPair's two indexes.
+func PrimaryBucket(primaryHash uint64, bucketCount uint64) uint64 {
+	return primaryHash & (bucketCount - 1)
 }
 
 // ShardIndex derives a shard index in [0, shards) from the primary hash for
